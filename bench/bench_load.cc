@@ -42,6 +42,9 @@
 // pass per node, and reports the tombstone count the deletes left,
 // what the scrubbers repaired and GC'd, and the post-scrub tombstone
 // count (must be 0 on a healthy cluster) under the same "cluster" key.
+// It also reports the quorum retry rounds the timed load phase took
+// (`client.shard.retry_rounds`; 0 on a healthy cluster, where every
+// call settles in one round).
 // --json writes BENCH_load.json for the CI SLO gate.
 
 #include <algorithm>
@@ -599,6 +602,11 @@ int Run(const Options& opt) {
                          &results[static_cast<size_t>(t)]);
   }
   gate.WaitReady();
+  // Every client is parked at the gate: the counter delta from here to
+  // the joins is the load phase's alone.
+  obs::Counter* retry_rounds =
+      obs::MetricsRegistry::Global().counter("client.shard.retry_rounds");
+  const uint64_t retry_rounds_before = retry_rounds->Value();
   obs::SpanCollector::Global().Reset();
   const uint64_t prev_threshold = obs::SlowRequestThresholdUs();
   obs::SetSlowRequestThresholdUs(opt.slow_us);
@@ -613,6 +621,8 @@ int Run(const Options& opt) {
 
   for (auto& th : threads) th.join();
   const auto wall_end = std::chrono::steady_clock::now();
+  const uint64_t load_retry_rounds =
+      retry_rounds->Value() - retry_rounds_before;
   stop_scraper.store(true, std::memory_order_release);
   scraper.join();
   obs::SetSlowRequestThresholdUs(prev_threshold);
@@ -739,6 +749,8 @@ int Run(const Options& opt) {
         opt.cluster, cluster->config.replication,
         cluster->config.write_quorum, cluster->config.read_quorum,
         imbalance);
+    std::printf("    quorum retry rounds during load: %llu\n",
+                static_cast<unsigned long long>(load_retry_rounds));
     for (size_t k = 0; k < shard_snaps.size(); ++k) {
       std::printf(
           "    shard %zu: %6llu objects, %6llu ops, latency p50 %6llu "
@@ -799,6 +811,7 @@ int Run(const Options& opt) {
       w.Field("read_quorum",
               static_cast<uint64_t>(cluster->config.read_quorum));
       w.Field("imbalance_ratio", imbalance);
+      w.Field("quorum_retry_rounds", load_retry_rounds);
       w.Field("delete_probe_keys", kDeleteProbeKeys);
       w.Field("tombstones_after_deletes", tombstones_after_deletes);
       w.Field("scrub_repaired", scrub_repaired);

@@ -9,6 +9,7 @@
 #include "crypto/sha256.h"
 #include "obs/json.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "ssp/tcp_service.h"
 #include "util/binary_io.h"
 
@@ -20,6 +21,28 @@ using ssp::OpCode;
 using ssp::Request;
 using ssp::RespStatus;
 using ssp::Response;
+
+/// Process-wide quorum accounting (every ShardedChannel sums here; the
+/// per-instance accessors keep counting one channel's share).
+struct ShardMetrics {
+  obs::Histogram* fanout;
+  obs::Counter* retry_rounds;
+  obs::Counter* read_repairs;
+  obs::Counter* read_failovers;
+
+  ShardMetrics() {
+    auto& reg = obs::MetricsRegistry::Global();
+    fanout = reg.histogram("client.rpc.shard_fanout");
+    retry_rounds = reg.counter("client.shard.retry_rounds");
+    read_repairs = reg.counter("client.shard.read_repairs");
+    read_failovers = reg.counter("client.shard.read_failovers");
+  }
+};
+
+ShardMetrics& Metrics() {
+  static ShardMetrics* metrics = new ShardMetrics();  // Never dies.
+  return *metrics;
+}
 
 bool IsAdminOp(OpCode op) {
   return op == OpCode::kGetStats || op == OpCode::kGetTraces;
@@ -156,10 +179,7 @@ ShardedChannel::ShardedChannel(ssp::PlacementRing ring, NodeFactory factory,
       factory_(std::move(factory)),
       options_(options),
       refresh_(std::move(refresh)),
-      rng_(options.seed != 0 ? Rng(options.seed) : Rng()),
-      fanout_hist_(
-          obs::MetricsRegistry::Global().histogram("client.rpc.shard_fanout")) {
-}
+      rng_(options.seed != 0 ? Rng(options.seed) : Rng()) {}
 
 RetryingConnection* ShardedChannel::NodeConn(uint32_t node_index) {
   const ssp::ClusterNode& node = ring_.config().nodes[node_index];
@@ -214,9 +234,9 @@ void ShardedChannel::RebuildRing(ssp::ClusterConfig config) {
   }
 }
 
-void ShardedChannel::BackoffRound(int round) {
+void ShardedChannel::BackoffRound(int nth) {
   uint64_t base = options_.round_backoff_ms;
-  for (int i = 1; i < round && base < options_.max_round_backoff_ms; ++i) {
+  for (int i = 1; i < nth && base < options_.max_round_backoff_ms; ++i) {
     base *= 2;
   }
   base = std::min<uint64_t>(base, options_.max_round_backoff_ms);
@@ -370,7 +390,7 @@ Result<Response> ShardedChannel::CallAdmin(const Request& req) {
     }
     for (std::thread& th : pack) th.join();
   }
-  fanout_hist_->Record(n);
+  Metrics().fanout->Record(n);
 
   if (req.op == OpCode::kGetStats) {
     // Fold the per-daemon snapshots into one fleet view and render the
@@ -449,18 +469,15 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
 
   std::vector<uint32_t> fanout_nodes;
   bool any_wrong_shard = false;
+  int backoffs = 0;
   for (int round = 0; round < std::max(1, options_.quorum_rounds); ++round) {
-    if (round > 0) {
-      BackoffRound(round);
-      ++quorum_retry_rounds_;
-    }
-    // Plan the round. Writes: every replica that has not acked the sub
-    // yet — even for subs whose quorum is already met — so each node
-    // receives the sub-ops it is missing in submission order (a node
-    // must never apply a key's older write after its newer one because
-    // the older sub straggled). Reads: enough untried replicas to
-    // complete the R quorum, preferring the ring order and failing
-    // over to further replicas only when earlier ones went unusable.
+    // Plan the round; settled subs are never re-sent. Writes: every
+    // replica that has not acked the sub yet, in submission order
+    // within each node's frame (replicas the quorum left behind catch
+    // up through read repair and the scrubber). Reads: enough untried
+    // replicas to complete the R quorum, preferring the ring order and
+    // failing over to further replicas only when earlier ones went
+    // unusable.
     std::vector<NodeTask> tasks;
     auto task_for = [&](uint32_t node) -> NodeTask& {
       for (NodeTask& t : tasks) {
@@ -471,6 +488,10 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
       return tasks.back();
     };
     bool all_done = true;
+    // Whether this round re-sends to a replica already asked in this
+    // call: every write item after round 0 (round 0 asked all K), and a
+    // read item whose replica failed an earlier round.
+    bool reasks = false;
     for (size_t i = 0; i < states.size(); ++i) {
       SubState& s = states[i];
       if (s.done) continue;
@@ -479,6 +500,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
         for (uint32_t pos = 0; pos < s.replicas.size(); ++pos) {
           if (!s.acked[pos]) {
             task_for(s.replicas[pos]).items.emplace_back(i, pos);
+            if (round > 0) reasks = true;
           }
         }
       } else {
@@ -492,7 +514,11 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
             if (s.HasUsable(pos)) continue;
             const bool untried = !s.targeted[pos];
             if ((pass == 0) != untried) continue;
-            if (untried && pos >= s.need_replies) ++read_failovers_;
+            if (untried && pos >= s.need_replies) {
+              ++read_failovers_;
+              Metrics().read_failovers->Increment();
+            }
+            if (!untried) reasks = true;
             s.targeted[pos] = 1;
             task_for(s.replicas[pos]).items.emplace_back(i, pos);
             --want;
@@ -500,19 +526,15 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
         }
       }
     }
+    // A call whose quorums settled returns at once; only a round that
+    // re-asks a replica waits, so a failing replica gets time to come
+    // back while a failover to an untried one goes out immediately.
     if (all_done) break;
-
-    // Mutating subs whose quorum is met keep replicating above, but a
-    // round that is ONLY backfill must not hold the call: stop when no
-    // unfinished sub has work planned.
-    bool planned_unfinished = false;
-    for (NodeTask& t : tasks) {
-      for (auto& [sub_idx, pos] : t.items) {
-        (void)pos;
-        if (!states[sub_idx].done) planned_unfinished = true;
-      }
+    if (reasks) BackoffRound(++backoffs);
+    if (round > 0) {
+      ++quorum_retry_rounds_;
+      Metrics().retry_rounds->Increment();
     }
-    if (!planned_unfinished) break;
 
     // Materialize wires + connections on this thread, then fan out.
     for (NodeTask& t : tasks) {
@@ -641,7 +663,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
     }
   }
 
-  fanout_hist_->Record(fanout_nodes.size());
+  Metrics().fanout->Record(fanout_nodes.size());
   finals->reserve(states.size());
   for (SubState& s : states) {
     if (!s.done) {
@@ -831,6 +853,7 @@ void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
     }
     auto repaired = CallNode(sub.replicas[u.pos], fix);
     ++read_repairs_;
+    Metrics().read_repairs->Increment();
     if (!repaired.ok() || (repaired->status != RespStatus::kOk &&
                            repaired->status != RespStatus::kNotFound)) {
       obs::Log(obs::Severity::kWarn, "client.shard.repair_failed",

@@ -11,7 +11,9 @@
 // accounting (`client.rpc.round_trips`) naturally counts a parallel
 // per-shard fan-out as ONE logical round trip — max-per-shard, not the
 // sum — which keeps the PR-5/PR-6 RTT gates meaningful; the fan-out
-// width itself is observable as `client.rpc.shard_fanout`.
+// width itself is observable as `client.rpc.shard_fanout`, and the
+// quorum layer's extra work as `client.shard.retry_rounds`,
+// `client.shard.read_failovers` and `client.shard.read_repairs`.
 //
 // Replication (DESIGN.md §15):
 //   - A write goes to all K replicas of its key and needs W acks; a
@@ -87,11 +89,17 @@ struct ShardedChannelOptions {
   net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
                             /*recv_ms=*/5000};
   /// Cluster-level retry: how many rounds a Call may take to assemble
-  /// its quorums, re-asking unacked/unanswered replicas with capped
-  /// backoff between rounds (all sub-ops are idempotent, the same
-  /// property RetryingConnection's replay rests on). 1 = no quorum
-  /// retry: a round that misses its quorum fails the sub-op.
+  /// its quorums (all sub-ops are idempotent, the same property
+  /// RetryingConnection's replay rests on). 1 = no quorum retry: a
+  /// round that misses its quorum fails the sub-op. A call whose
+  /// quorums settle in the first round returns at once — a healthy
+  /// cluster takes exactly one round and never waits.
   int quorum_rounds = 6;
+  /// Wait before a round that re-asks a replica already asked in this
+  /// call (a write replica that has not acked, a read replica that
+  /// failed): `round_backoff_ms` before the first such round, doubling
+  /// per further one up to `max_round_backoff_ms`, ±20% jitter. A read
+  /// failing over to an untried replica does not wait.
   uint32_t round_backoff_ms = 20;
   uint32_t max_round_backoff_ms = 500;
   /// Heal replicas that answered a read with a stale or missing copy by
@@ -134,10 +142,14 @@ class ShardedChannel : public ssp::SspChannel {
   const ssp::ClusterConfig& config() const { return ring_.config(); }
 
   // Observability for tests and verbose tools (not thread-safe, like
-  // the channel itself).
+  // the channel itself). The last three also sum process-wide into the
+  // registry counters client.shard.read_failovers / .read_repairs /
+  // .retry_rounds.
   uint64_t placement_refreshes() const { return placement_refreshes_; }
   uint64_t read_failovers() const { return read_failovers_; }
   uint64_t read_repairs() const { return read_repairs_; }
+  /// Rounds after the first that put requests on the wire (0 for every
+  /// call a healthy cluster serves).
   uint64_t quorum_retry_rounds() const { return quorum_retry_rounds_; }
 
  private:
@@ -197,7 +209,9 @@ class ShardedChannel : public ssp::SspChannel {
   Result<ssp::Response> CallNode(uint32_t node_index,
                                  const ssp::Request& req);
   void RebuildRing(ssp::ClusterConfig config);
-  void BackoffRound(int round);
+  /// Sleeps before the `nth` re-asking round of a call (1-based):
+  /// round_backoff_ms doubled per earlier one, capped, jittered.
+  void BackoffRound(int nth);
 
   static bool MakeObjectKey(const ssp::Request& req, ObjectKey* key);
   void NoteWrite(const ssp::Request& req);
@@ -214,7 +228,6 @@ class ShardedChannel : public ssp::SspChannel {
   /// Session memory quorum reads use to recognize this channel's own
   /// freshest copy — or its own delete — regardless of blob family.
   std::map<ObjectKey, SessionMark> session_marks_;
-  obs::Histogram* fanout_hist_;
   uint64_t placement_refreshes_ = 0;
   uint64_t read_failovers_ = 0;
   uint64_t read_repairs_ = 0;

@@ -5,6 +5,9 @@
 // one-Call-one-logical-round-trip accounting survives the fan-out
 // unchanged, and the PR-6 write-stage flush barrier still orders
 // staged writes before reads when the sub-ops land on different shards.
+// The quorum-round tests pin when the replicated path waits: a healthy
+// call settles in one round, a failover to an untried replica goes out
+// at once, and only a genuine re-ask pays the round backoff.
 
 #include "core/sharded_channel.h"
 
@@ -12,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
@@ -401,6 +405,109 @@ TEST(ShardRouting, WriteStageFlushBarrierHoldsAcrossShards) {
     ASSERT_TRUE(cold.ok()) << cold.status();
     EXPECT_EQ(*cold, Payload(100 + i)) << "file " << i;
   }
+}
+
+TestCluster::Options Replicated(const std::string& tag) {
+  TestCluster::Options opts;  // 3 nodes, K=3, W=2, R=2, WAL-backed.
+  opts.tag = tag;
+  return opts;
+}
+
+/// Channel options whose round backoff dwarfs any honest call: one
+/// stray wait turns into a 10 s stall the elapsed-time bound catches
+/// deterministically instead of a timing flake.
+ShardedChannelOptions HugeBackoff() {
+  ShardedChannelOptions sopts;
+  sopts.round_backoff_ms = 10000;
+  sopts.max_round_backoff_ms = 10000;
+  return sopts;
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(QuorumRounds, HealthyCallsSettleInOneRound) {
+  TestCluster cluster(Replicated("rounds_healthy"));
+  cluster.Start();
+  auto channel = cluster.MakeChannel(HugeBackoff());
+  ASSERT_NE(channel, nullptr);
+
+  // 100 calls: 40 puts, 40 read-backs, 20 deletes.
+  const auto start = std::chrono::steady_clock::now();
+  for (uint64_t inode = 1; inode <= 40; ++inode) {
+    auto put = channel->Call(Request::PutData(inode, 0, Payload(inode)));
+    ASSERT_TRUE(put.ok()) << put.status();
+    ASSERT_EQ(put->status, RespStatus::kOk) << "inode " << inode;
+    auto get = channel->Call(Request::GetData(inode, 0));
+    ASSERT_TRUE(get.ok()) << get.status();
+    ASSERT_EQ(get->status, RespStatus::kOk) << "inode " << inode;
+    EXPECT_EQ(get->payload, Payload(inode));
+    if (inode % 2 == 0) {
+      auto del = channel->Call(Request::DeleteData(inode, 0));
+      ASSERT_TRUE(del.ok()) << del.status();
+      ASSERT_EQ(del->status, RespStatus::kOk) << "inode " << inode;
+    }
+    // Checked per inode so one stray wait fails the test after 10 s,
+    // not after a hundred of them.
+    ASSERT_LT(SecondsSince(start), 5.0) << "a healthy call waited a backoff";
+  }
+  EXPECT_EQ(channel->quorum_retry_rounds(), 0u);
+  EXPECT_EQ(channel->read_failovers(), 0u);
+}
+
+TEST(QuorumRounds, FailoverToAnUntriedReplicaDoesNotWait) {
+  TestCluster cluster(Replicated("rounds_failover"));
+  cluster.Start();
+  auto channel = cluster.MakeChannel(HugeBackoff());
+  ASSERT_NE(channel, nullptr);
+
+  const uint64_t inode = 7;
+  auto put = channel->Call(Request::PutData(inode, 0, Payload(inode)));
+  ASSERT_TRUE(put.ok()) << put.status();
+  ASSERT_EQ(put->status, RespStatus::kOk);
+
+  // Stop the key's preferred replica: the read's round 0 loses it, and
+  // round 1 asks the third replica, which was never asked before.
+  const uint32_t preferred = cluster.ring().ReplicaIndicesFor(
+      ssp::RoutingKeyOf(Request::GetData(inode, 0)))[0];
+  cluster.node(static_cast<int>(preferred))->Kill();
+
+  const auto start = std::chrono::steady_clock::now();
+  auto get = channel->Call(Request::GetData(inode, 0));
+  const double elapsed = SecondsSince(start);
+  ASSERT_TRUE(get.ok()) << get.status();
+  ASSERT_EQ(get->status, RespStatus::kOk);
+  EXPECT_EQ(get->payload, Payload(inode));
+  EXPECT_GE(channel->read_failovers(), 1u);
+  EXPECT_EQ(channel->quorum_retry_rounds(), 1u);
+  EXPECT_LT(elapsed, 5.0) << "the failover waited a backoff";
+}
+
+TEST(QuorumRounds, ReaskingAReplicaStillBacksOff) {
+  // Negative control: W = K with one replica down can only be retried
+  // by re-asking that replica, which must wait the round backoff.
+  TestCluster::Options opts = Replicated("rounds_reask");
+  opts.write_quorum = 3;
+  opts.read_quorum = 1;
+  TestCluster cluster(opts);
+  cluster.Start();
+  ShardedChannelOptions sopts;
+  sopts.quorum_rounds = 2;
+  sopts.round_backoff_ms = 200;
+  auto channel = cluster.MakeChannel(sopts);
+  ASSERT_NE(channel, nullptr);
+  cluster.node(2)->Kill();
+
+  const auto start = std::chrono::steady_clock::now();
+  auto put = channel->Call(Request::PutData(11, 0, Payload(11)));
+  const double elapsed = SecondsSince(start);
+  ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_EQ(put->status, RespStatus::kError);
+  EXPECT_GE(elapsed, 0.160) << "the re-ask did not back off (-20% jitter)";
+  EXPECT_EQ(channel->quorum_retry_rounds(), 1u);
 }
 
 }  // namespace

@@ -24,9 +24,15 @@ using core::ShardedChannelOptions;
 using testing::ReplicaFlapper;
 using testing::TestCluster;
 
+/// 48 bytes unique per (thread, op): the op number leads in full, so a
+/// long run never repeats an earlier op's payload (a stale copy could
+/// otherwise pass for the latest write).
 Bytes TaggedPayload(int thread, int op) {
   Bytes payload;
-  for (int b = 0; b < 48; ++b) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    payload.push_back(static_cast<uint8_t>((op >> shift) & 0xFF));
+  }
+  for (int b = 4; b < 48; ++b) {
     payload.push_back(
         static_cast<uint8_t>((thread * 131 + op * 17 + b * 7) & 0xFF));
   }
@@ -40,47 +46,64 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
   cluster.Start();
 
   constexpr int kThreads = 4;
-  constexpr int kOps = 24;
   constexpr uint64_t kInodesPerThread = 8;
+  // Each pass writes every slot of the thread's range once, then reads
+  // it back. Passes repeat until the flapper has killed and recovered
+  // its replica at least twice under live traffic (a healthy call takes
+  // well under a millisecond, so a fixed op count could finish before
+  // the first kill), with a floor and a cap on the pass count.
+  constexpr int kMinPasses = 3;
+  constexpr int kMaxPasses = 2000;
+  int passes[kThreads] = {};
 
-  ReplicaFlapper flapper(cluster.node(1), /*down_ms=*/40, /*up_ms=*/40);
-  testing::StressThreads(kThreads, [&](int t) -> Status {
-    // Generous round budget: a thread may catch the victim mid-teardown
-    // repeatedly; what is not allowed is giving up.
-    ShardedChannelOptions sopts;
-    sopts.quorum_rounds = 12;
-    sopts.seed = static_cast<uint64_t>(t) + 1;
-    auto channel = core::ShardedChannel::Create(
-        cluster.config(), cluster.node_factory(), sopts);
-    if (!channel.ok()) return channel.status();
-    // Disjoint inode ranges per thread: each thread's read-your-write
-    // chain is private, so any cross-talk is a routing bug, not a
-    // workload artifact.
-    const uint64_t base = 1000 + static_cast<uint64_t>(t) * 100;
-    for (int op = 0; op < kOps; ++op) {
-      uint64_t inode = base + static_cast<uint64_t>(op) % kInodesPerThread;
-      auto put = (*channel)->Call(
-          Request::PutData(inode, 0, TaggedPayload(t, op)));
-      if (!put.ok()) return put.status();
-      if (put->status != RespStatus::kOk) {
-        return Status::IoError("put answered " +
-                               std::string(RespStatusName(put->status)));
+  {
+    ReplicaFlapper flapper(cluster.node(1), /*down_ms=*/40, /*up_ms=*/40);
+    testing::StressThreads(kThreads, [&](int t) -> Status {
+      // Generous round budget: a thread may catch the victim
+      // mid-teardown repeatedly; what is not allowed is giving up.
+      ShardedChannelOptions sopts;
+      sopts.quorum_rounds = 12;
+      sopts.seed = static_cast<uint64_t>(t) + 1;
+      auto channel = core::ShardedChannel::Create(
+          cluster.config(), cluster.node_factory(), sopts);
+      if (!channel.ok()) return channel.status();
+      // Disjoint inode ranges per thread: each thread's read-your-write
+      // chain is private, so any cross-talk is a routing bug, not a
+      // workload artifact.
+      const uint64_t base = 1000 + static_cast<uint64_t>(t) * 100;
+      int pass = 0;
+      for (; pass < kMaxPasses &&
+             (pass < kMinPasses || flapper.flaps() < 2);
+           ++pass) {
+        for (uint64_t slot = 0; slot < kInodesPerThread; ++slot) {
+          const int op = pass * static_cast<int>(kInodesPerThread) +
+                         static_cast<int>(slot);
+          const uint64_t inode = base + slot;
+          auto put = (*channel)->Call(
+              Request::PutData(inode, 0, TaggedPayload(t, op)));
+          if (!put.ok()) return put.status();
+          if (put->status != RespStatus::kOk) {
+            return Status::IoError("put answered " +
+                                   std::string(RespStatusName(put->status)));
+          }
+          auto got = (*channel)->Call(Request::GetData(inode, 0));
+          if (!got.ok()) return got.status();
+          if (got->status != RespStatus::kOk) {
+            return Status::IoError("get answered " +
+                                   std::string(RespStatusName(got->status)));
+          }
+          if (got->payload != TaggedPayload(t, op)) {
+            return Status::IoError("thread " + std::to_string(t) + " op " +
+                                   std::to_string(op) +
+                                   " read someone else's write");
+          }
+        }
       }
-      auto got = (*channel)->Call(Request::GetData(inode, 0));
-      if (!got.ok()) return got.status();
-      if (got->status != RespStatus::kOk) {
-        return Status::IoError("get answered " +
-                               std::string(RespStatusName(got->status)));
-      }
-      if (got->payload != TaggedPayload(t, op)) {
-        return Status::IoError("thread " + std::to_string(t) + " op " +
-                               std::to_string(op) +
-                               " read someone else's write");
-      }
-    }
-    return Status::OK();
-  });
-  flapper.Stop();
+      passes[t] = pass;
+      return Status::OK();
+    });
+    EXPECT_GE(flapper.flaps(), 2);
+  }  // Flapper stops; node 1 is up (recovered from its WAL).
 
   // Post-churn scrub: a full-quorum (R = K) reader must find every
   // thread's final write on the winning side of each quorum, healing
@@ -90,11 +113,14 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
   auto reader = cluster.MakeChannelWithConfig(scrub);
   ASSERT_NE(reader, nullptr);
   for (int t = 0; t < kThreads; ++t) {
+    ASSERT_GE(passes[t], kMinPasses) << "thread " << t;
     for (uint64_t i = 0; i < kInodesPerThread; ++i) {
       uint64_t inode = 1000 + static_cast<uint64_t>(t) * 100 + i;
-      // kOps is a multiple of kInodesPerThread, so slot i's final write
-      // was op (kOps - kInodesPerThread + i).
-      int last_op = static_cast<int>(kOps - kInodesPerThread + i);
+      // Every pass writes each slot once, so slot i's final write was
+      // op ((passes - 1) * kInodesPerThread + i).
+      const int last_op =
+          (passes[t] - 1) * static_cast<int>(kInodesPerThread) +
+          static_cast<int>(i);
       auto got = reader->Call(Request::GetData(inode, 0));
       ASSERT_TRUE(got.ok()) << got.status();
       ASSERT_EQ(got->status, RespStatus::kOk)
